@@ -39,7 +39,7 @@ pub mod workqueue;
 pub use audit::{AuditLog, AuditRecord, RequestResult};
 pub use leader::LeaderElector;
 pub use policy::{
-    AdmissionPolicy, IntegrityAction, IntegrityChecker, IntegrityMetrics, PolicyCtx,
+    prefix_scan, AdmissionPolicy, IntegrityAction, IntegrityChecker, IntegrityMetrics, PolicyCtx,
 };
 
 use etcd_sim::{Bytes, Etcd, EtcdError};
@@ -49,7 +49,7 @@ use k8s_model::{
 };
 use simkit::{Trace, TraceLevel};
 use std::cell::RefCell;
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -324,9 +324,11 @@ pub struct ApiServer {
     interceptor: InterceptorHandle,
     trace: TraceHandle,
     audit: AuditLog,
-    /// Decoded watch cache. Objects are shared (`Rc`): list/get/watch
-    /// readers receive refcount bumps, never deep clones.
-    cache: HashMap<String, Rc<Object>>,
+    /// Decoded watch cache, ordered by registry key so `list`/`for_each`/
+    /// `count` are prefix range scans that cost what they return. Keys
+    /// and objects are shared (`Rc`): list/get/watch readers and forks
+    /// receive refcount bumps, never deep clones.
+    cache: BTreeMap<Rc<str>, Rc<Object>>,
     /// Revision-keyed decode cache: the write path already *has* the
     /// decoded object it commits, so it remembers `(store bytes, object)`
     /// per committed revision, and the watch-cache drain reuses the
@@ -380,10 +382,10 @@ pub struct ApiServer {
     integrity: Option<Rc<dyn IntegrityChecker>>,
     /// Integrity subsystem counters.
     pub integrity_metrics: IntegrityMetrics,
-    /// When armed, records every key served to a reader (activation
-    /// analysis: an injection is *activated* when the injected instance is
-    /// requested after the injection, §V-C1).
-    read_tracking: Option<HashSet<String>>,
+    /// When armed, the one tracked key and whether it was served to a
+    /// reader since (activation analysis: an injection is *activated* when
+    /// the injected instance is requested after the injection, §V-C1).
+    read_tracking: Option<(String, bool)>,
     /// Optional observer of submitted writes (trace export).
     tap: Option<RequestTapHandle>,
 }
@@ -408,7 +410,7 @@ impl ApiServer {
             interceptor,
             trace,
             audit: AuditLog::default(),
-            cache: HashMap::new(),
+            cache: BTreeMap::new(),
             decode_cache: HashMap::new(),
             decode_cache_on: decode_cache_enabled(),
             decode_cache_hits: 0,
@@ -612,23 +614,19 @@ impl ApiServer {
         }
     }
 
-    /// Arms read tracking: subsequently served keys are recorded so the
-    /// campaign can decide whether an injected instance was *activated*.
-    pub fn start_read_tracking(&mut self) {
-        self.read_tracking = Some(HashSet::new());
+    /// Arms read tracking on `key`: from now on the apiserver notes
+    /// whether that key is served to a reader, so the campaign can decide
+    /// whether the injected instance was *activated*. Re-arming replaces
+    /// the tracked key and forgets earlier reads.
+    pub fn start_read_tracking(&mut self, key: &str) {
+        self.read_tracking = Some((key.to_owned(), false));
     }
 
-    /// True when `key` was served to any reader since tracking was armed.
+    /// True when `key` is the tracked key and it was served to any reader
+    /// (`get`, `list`, a write's lookup, a delivered watch event) since
+    /// tracking was armed.
     pub fn was_read(&self, key: &str) -> bool {
-        self.read_tracking.as_ref().map(|s| s.contains(key)).unwrap_or(false)
-    }
-
-    fn track_read(&mut self, key: &str) {
-        if let Some(s) = self.read_tracking.as_mut() {
-            if !s.contains(key) {
-                s.insert(key.to_owned());
-            }
-        }
+        matches!(&self.read_tracking, Some((tracked, true)) if tracked == key)
     }
 
     /// Advances the apiserver's notion of simulated time (and the
@@ -1014,7 +1012,7 @@ impl ApiServer {
                     // (only once the cluster has namespaces at all, so
                     // non-bootstrapped test fixtures stay usable).
                     let has_namespaces =
-                        self.cache.keys().any(|k| k.starts_with("/registry/namespaces/"));
+                        prefix_scan(&self.cache, "/registry/namespaces/").next().is_some();
                     if op == Op::Create
                         && has_namespaces
                         && !kind.cluster_scoped()
@@ -1208,7 +1206,7 @@ impl ApiServer {
     /// to a quorum read (cache-miss refresh). The result is a shared
     /// handle, not a deep clone.
     fn current_object(&mut self, key: &str) -> Option<Rc<Object>> {
-        self.track_read(key);
+        track_read(&mut self.read_tracking, |tracked| tracked == key);
         if let Some(o) = self.cache.get(key) {
             return Some(o.clone());
         }
@@ -1372,7 +1370,7 @@ impl ApiServer {
                 let Some(kind) = kind_of_key(&ev.key) else { continue };
                 match ev.value {
                     None => {
-                        self.cache.remove(&ev.key);
+                        self.cache.remove(ev.key.as_str());
                         self.push_event(ResourceEvent {
                             index: 0,
                             kind,
@@ -1418,11 +1416,11 @@ impl ApiServer {
                         let Some(obj) = self.check_integrity(&ev.key, obj) else {
                             continue;
                         };
-                        // Intern the key once; the cache takes the
-                        // original allocation and the event log shares
-                        // the interned copy with every watcher delivery.
-                        let key: Rc<str> = ev.key.as_str().into();
-                        self.cache.insert(ev.key, obj.clone());
+                        // Intern the key once: the cache, the event log
+                        // and every watcher delivery share the one
+                        // allocation (and a fork bumps it, never copies).
+                        let key: Rc<str> = ev.key.into();
+                        self.cache.insert(key.clone(), obj.clone());
                         self.push_event(ResourceEvent {
                             index: 0,
                             kind,
@@ -1452,7 +1450,7 @@ impl ApiServer {
                     })
                     .unwrap_or(false);
                 if still_bad {
-                    self.cache.remove(&key);
+                    self.cache.remove(key.as_str());
                     self.drop_undecodable(&key);
                 }
             }
@@ -1471,8 +1469,8 @@ impl ApiServer {
             match Object::decode(kind, &bytes) {
                 Ok(obj) => {
                     let Some(obj) = self.check_integrity(&key, Rc::new(obj)) else { continue };
-                    let shared: Rc<str> = key.as_str().into();
-                    self.cache.insert(key, obj.clone());
+                    let shared: Rc<str> = key.into();
+                    self.cache.insert(shared.clone(), obj.clone());
                     self.push_event(ResourceEvent { index: 0, kind, key: shared, object: Some(obj) });
                 }
                 Err(_) => bad.push(key),
@@ -1508,12 +1506,7 @@ impl ApiServer {
         let start = ((cursor - self.first_event_index) as usize).min(self.events.len());
         // Indexed tail view; cloning an event is an Rc bump per object.
         let out: Vec<ResourceEvent> = self.events.range(start..).cloned().collect();
-        if self.read_tracking.is_some() {
-            for ev in &out {
-                let key = ev.key.clone();
-                self.track_read(&key);
-            }
-        }
+        track_read(&mut self.read_tracking, |tracked| out.iter().any(|ev| &*ev.key == tracked));
         (out, self.watch_head())
     }
 
@@ -1536,7 +1529,7 @@ impl ApiServer {
         match Object::decode(kind, &bytes) {
             Ok(o) => {
                 let o = Rc::new(o);
-                self.cache.insert(key, o.clone());
+                self.cache.insert(key.into(), o.clone());
                 Some(o)
             }
             Err(_) => {
@@ -1547,44 +1540,42 @@ impl ApiServer {
     }
 
     /// Lists objects of `kind`, optionally scoped to a namespace, in key
-    /// order (served from the watch cache). Each element is a shared
-    /// handle: listing N objects is N refcount bumps, not N deep clones.
+    /// order (a prefix range scan of the watch cache). Each element is a
+    /// shared handle: listing N objects is N refcount bumps, not N deep
+    /// clones.
     pub fn list(&mut self, kind: Kind, namespace: Option<&str>) -> Vec<Rc<Object>> {
         self.sync_cache();
-        let mut keys: Vec<String> = with_key_scratch(|prefix| {
+        with_key_scratch(|prefix| {
             registry_prefix_into(prefix, kind, namespace);
-            self.cache.keys().filter(|k| k.starts_with(&**prefix)).cloned().collect()
-        });
-        keys.sort();
-        if self.read_tracking.is_some() {
-            for k in &keys {
-                self.track_read(k);
-            }
-        }
-        keys.into_iter().map(|k| self.cache[&k].clone()).collect()
+            // A list serves every key under the prefix that is cached
+            // right now — the tracked key among them or not.
+            track_read(&mut self.read_tracking, |tracked| {
+                tracked.starts_with(&**prefix) && self.cache.contains_key(tracked)
+            });
+            prefix_scan(&self.cache, prefix).map(|(_, obj)| obj.clone()).collect()
+        })
     }
 
-    /// Visits objects of `kind` (optionally namespace-scoped) without
-    /// cloning them — the cheap path for metrics sampling and the network
-    /// fabric, which run even while a pod storm floods the cache.
+    /// Visits objects of `kind` (optionally namespace-scoped) in key order
+    /// without cloning them — the cheap path for metrics sampling and the
+    /// network fabric, which run even while a pod storm floods the cache.
+    /// Unlike [`ApiServer::list`], a visit is not a tracked read.
     pub fn for_each(&mut self, kind: Kind, namespace: Option<&str>, mut f: impl FnMut(&Object)) {
         self.sync_cache();
         with_key_scratch(|prefix| {
             registry_prefix_into(prefix, kind, namespace);
-            for (k, obj) in &self.cache {
-                if k.starts_with(&**prefix) {
-                    f(obj);
-                }
+            for (_, obj) in prefix_scan(&self.cache, prefix) {
+                f(obj);
             }
         });
     }
 
-    /// Counts objects of `kind` without cloning.
+    /// Counts objects of `kind` without cloning (not a tracked read).
     pub fn count(&mut self, kind: Kind, namespace: Option<&str>) -> usize {
         self.sync_cache();
         with_key_scratch(|prefix| {
             registry_prefix_into(prefix, kind, namespace);
-            self.cache.keys().filter(|k| k.starts_with(&**prefix)).count()
+            prefix_scan(&self.cache, prefix).count()
         })
     }
 
@@ -1609,6 +1600,17 @@ impl ApiServer {
         self.cache.len()
     }
 
+}
+
+/// Marks the tracked key as read when `serves` says the read in progress
+/// serves it. One compare per read while armed and unread; nothing once
+/// the key has been read (or tracking was never armed).
+fn track_read(tracking: &mut Option<(String, bool)>, serves: impl FnOnce(&str) -> bool) {
+    if let Some((tracked, read)) = tracking {
+        if !*read && serves(tracked) {
+            *read = true;
+        }
+    }
 }
 
 /// Derives the kind from a registry key.

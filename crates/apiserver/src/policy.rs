@@ -22,7 +22,19 @@
 //! ablation benches.
 
 use k8s_model::{Channel, Object, Op};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Bound;
+use std::rc::Rc;
+
+/// The entries of a watch-cache view whose key starts with `prefix`, in
+/// key order — a range scan that costs what it returns, not the cache.
+pub fn prefix_scan<'a>(
+    view: &'a BTreeMap<Rc<str>, Rc<Object>>,
+    prefix: &'a str,
+) -> impl Iterator<Item = (&'a Rc<str>, &'a Rc<Object>)> {
+    view.range::<str, _>((Bound::Included(prefix), Bound::Unbounded))
+        .take_while(move |(key, _)| key.starts_with(prefix))
+}
 
 /// A read-only request context handed to admission policies.
 #[derive(Debug)]
@@ -38,9 +50,9 @@ pub struct PolicyCtx<'a> {
     /// Simulated time.
     pub now: u64,
     /// Read-only view of the apiserver's watch cache (registry key →
-    /// object), for policies that need cluster-wide context such as
-    /// namespace pod counts.
-    pub view: &'a HashMap<String, std::rc::Rc<Object>>,
+    /// object, ordered by key), for policies that need cluster-wide
+    /// context such as namespace pod counts (see [`prefix_scan`]).
+    pub view: &'a BTreeMap<Rc<str>, Rc<Object>>,
 }
 
 /// A validating admission policy: reviews requests after the built-in
@@ -146,7 +158,7 @@ mod tests {
         let mut ns = Namespace::default();
         ns.metadata = ObjectMeta::named("", "default");
         let obj = Object::Namespace(ns);
-        let view = HashMap::new();
+        let view = BTreeMap::new();
         let ctx = PolicyCtx {
             op: Op::Create,
             channel: Channel::UserToApi,

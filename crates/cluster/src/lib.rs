@@ -723,6 +723,57 @@ mod tests {
     }
 
     #[test]
+    fn node_repair_deletes_in_key_order() {
+        // Two workers stop reporting; the repair loop replaces both in one
+        // round and wipes their pods. The delete sequence feeds the audit
+        // log and the store revisions, so it must follow key order — not
+        // whatever order a hash map happens to iterate in this process.
+        let mut cfg = ClusterConfig { seed: 3, ..Default::default() };
+        cfg.kcm.node_grace_ms = 15_000;
+        cfg.node_repair = Some(NodeRepairConfig {
+            unready_grace_ms: 5_000,
+            cooldown_ms: 60_000,
+            ..Default::default()
+        });
+        let mut w = World::new(cfg, Rc::new(RefCell::new(NoopInterceptor)));
+        w.prepare(&[1]);
+        w.kubelets[1].healthy = false;
+        w.kubelets[2].healthy = false;
+        w.schedule_ops(deploy_ops());
+        w.run_to_horizon();
+        assert_eq!(w.repairer.as_ref().unwrap().metrics.nodes_deleted, 2);
+
+        // The repairer is the only user-channel client deleting Nodes, and
+        // each Node delete is followed by that machine's pod teardown.
+        let mut machines: Vec<(u64, String, Vec<String>)> = Vec::new();
+        for r in w.api.audit().records() {
+            if r.channel != Channel::UserToApi || r.op != k8s_model::Op::Delete {
+                continue;
+            }
+            match r.kind {
+                Kind::Node => machines.push((r.at, r.key.to_string(), Vec::new())),
+                Kind::Pod => {
+                    if let Some((at, _, pods)) = machines.last_mut() {
+                        if *at == r.at {
+                            pods.push(r.key.to_string());
+                        }
+                    }
+                }
+                _ => {}
+            }
+        }
+        let nodes: Vec<&str> = machines.iter().map(|(_, node, _)| node.as_str()).collect();
+        assert_eq!(nodes, ["/registry/nodes/w1", "/registry/nodes/w2"]);
+        assert_eq!(machines[0].0, machines[1].0, "both machines go in the same round");
+        let torn_down: usize = machines.iter().map(|(_, _, pods)| pods.len()).sum();
+        assert!(torn_down >= 3, "only {torn_down} pods were bound to the two machines");
+        for (_, node, pods) in &machines {
+            assert!(pods.len() >= 2, "{node}: DaemonSet pods at least, got {pods:?}");
+            assert!(pods.is_sorted(), "{node}: teardown out of key order: {pods:?}");
+        }
+    }
+
+    #[test]
     fn deterministic_across_identical_seeds() {
         let run = |seed| {
             let mut w = golden_world(seed);

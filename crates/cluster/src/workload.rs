@@ -54,9 +54,9 @@ pub enum UserOp {
         node: String,
     },
     /// Evict one application pod from a node (the sequential second half
-    /// of `kubectl drain`). Picks the name-smallest remaining `web-*` pod
-    /// on the node, so the eviction sequence is deterministic; a no-op
-    /// once the node is empty.
+    /// of `kubectl drain`). Picks the first remaining `web-*` pod on the
+    /// node in key order, so the eviction sequence is deterministic; a
+    /// no-op once the node is empty.
     EvictPodOn {
         /// Node name.
         node: String,
@@ -159,15 +159,14 @@ pub(crate) fn execute_op(
             }
         }
         UserOp::EvictPodOn { node } => {
-            // Smallest name wins so the eviction sequence is deterministic
-            // (the cache iterates in hash order).
+            // First match in key order.
             let mut victim: Option<String> = None;
             api.for_each(Kind::Pod, Some("default"), |obj| {
                 if let Object::Pod(p) = obj {
-                    if p.spec.node_name == *node
+                    if victim.is_none()
+                        && p.spec.node_name == *node
                         && p.metadata.name.starts_with("web-")
                         && !p.metadata.is_terminating()
-                        && victim.as_deref().is_none_or(|v| p.metadata.name.as_str() < v)
                     {
                         victim = Some(p.metadata.name.clone());
                     }

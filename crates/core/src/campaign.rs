@@ -279,9 +279,11 @@ pub fn run_world_with_fork(
                 }
             }
         }
-        if !tracking_armed && actuator.borrow().record().is_some() {
-            world.api.start_read_tracking();
-            tracking_armed = true;
+        if !tracking_armed {
+            if let Some(record) = actuator.borrow().record() {
+                world.api.start_read_tracking(&record.key);
+                tracking_armed = true;
+            }
         }
         if let Some(t) = slice_timer {
             let phase = if pre_t0 { Phase::GoldenPrefix } else { Phase::FaultWindow };

@@ -180,6 +180,13 @@ pub enum WorldAction {
 /// the experiment driver polls between time slices.
 pub trait FaultActuator: Interceptor {
     /// The injection record, once the fault fired.
+    ///
+    /// Set-once rule: an actuator writes its record exactly once (every
+    /// built-in one guards the write behind `record.is_none()`), so the
+    /// key read in the slice where this first returns `Some` is the key
+    /// the finished run reports. The experiment driver relies on it: it
+    /// arms the apiserver's one-key read tracking with that first key
+    /// and asks `was_read` about the final record's key.
     fn record(&self) -> Option<&InjectionRecord>;
 
     /// Called by the experiment driver after each time slice; returned

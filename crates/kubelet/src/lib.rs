@@ -126,6 +126,27 @@ impl LocalPod {
             _ => true,
         }
     }
+
+    /// True when [`Kubelet::advance`] has a transition to make at `now`: a
+    /// pull, boot or backoff deadline passed, a doomed container reached
+    /// its crash time, or a misconfigured probe flipped readiness. A
+    /// healthy Running pod (and a Rejected or indefinitely Waiting one) is
+    /// never due.
+    fn due(&self, now: u64) -> bool {
+        match self.state {
+            PodState::Pulling { until }
+            | PodState::Starting { until }
+            | PodState::Waiting { until: Some(until), .. } => now >= until,
+            PodState::Running => match self.crash_at {
+                Some(crash_at) => now >= crash_at,
+                None => {
+                    self.flappy_window_ms.is_some()
+                        && self.probe_ready(now) != self.reported_ready
+                }
+            },
+            PodState::Waiting { until: None, .. } | PodState::Rejected => false,
+        }
+    }
 }
 
 /// Counters exposed to the failure classifiers.
@@ -294,9 +315,16 @@ impl Kubelet {
             }
         }
 
-        // Advance local lifecycles.
-        let keys: Vec<String> = self.pods.keys().cloned().collect();
-        for key in keys {
+        // Advance the local lifecycles that have a transition due, in key
+        // order (RNG draws and status writes happen in that order). An
+        // idle tick finds none and allocates nothing.
+        let due: Vec<String> = self
+            .pods
+            .iter()
+            .filter(|(_, local)| local.due(now))
+            .map(|(key, _)| key.clone())
+            .collect();
+        for key in due {
             self.advance(api, now, &key);
         }
 
@@ -445,19 +473,22 @@ impl Kubelet {
         (cpu, mem)
     }
 
+    /// Makes the one lifecycle transition [`LocalPod::due`] says is due
+    /// for `key` (a no-op when none is).
     fn advance(&mut self, api: &mut ApiServer, now: u64, key: &str) {
-        let Some(local) = self.pods.get(key).cloned() else { return };
+        let Some(local) = self.pods.get(key).filter(|lp| lp.due(now)).cloned() else { return };
         let Some((ns, name)) = split_pod_key(key) else { return };
 
         match local.state {
-            PodState::Pulling { until } if now >= until => {
+            PodState::Pulling { .. } | PodState::Waiting { .. } => {
+                // Image pulled, or backoff served: boot the container.
                 let (lo, hi) = self.cfg.container_start_ms;
                 let until = now + self.rng.range(lo, hi);
                 if let Some(lp) = self.pods.get_mut(key) {
                     lp.state = PodState::Starting { until };
                 }
             }
-            PodState::Starting { until } if now >= until => {
+            PodState::Starting { .. } => {
                 // Container is up: allocate the IP and report Running.
                 let ip = if local.ip.is_empty() {
                     let ip = format!("10.244.{}.{}", self.node_index, self.ip_counter);
@@ -486,64 +517,50 @@ impl Kubelet {
                     let _ = api.update(self.channel, Object::Pod(pod));
                 }
             }
-            PodState::Running => {
-                if local.crash_at.is_none() && local.flappy_window_ms.is_some() {
-                    // Misconfigured probe: the healthy container toggles
-                    // Ready on the (too-short) probe-window cadence.
-                    let ready = local.probe_ready(now);
-                    if ready != local.reported_ready {
-                        self.metrics.probe_flaps = self.metrics.probe_flaps.saturating_add(1);
-                        if let Some(lp) = self.pods.get_mut(key) {
-                            lp.reported_ready = ready;
-                        }
-                        if let Some(Object::Pod(pod)) = api.get(Kind::Pod, &ns, &name).as_deref() {
-                            let mut pod = pod.clone();
-                            pod.status.ready = ready;
-                            pod.status.reason =
-                                if ready { String::new() } else { "Unhealthy".into() };
-                            let _ = api.update(self.channel, Object::Pod(pod));
-                        }
-                    }
-                }
-                if let Some(crash_at) = local.crash_at {
-                    if now >= crash_at {
-                        // Crash: back off exponentially (circuit breaker).
-                        self.metrics.crashes = self.metrics.crashes.saturating_add(1);
-                        mutiny_telemetry::counter_add("kubelet.pod_restarts", 1);
-                        let restarts = local.restart_count + 1;
-                        let backoff = (self.cfg.crash_backoff_base_ms
-                            << (restarts - 1).clamp(0, 16) as u32)
-                            .min(self.cfg.crash_backoff_max_ms);
-                        self.log(
-                            now,
-                            TraceLevel::Warn,
-                            format!("pod {key} crashed (restart {restarts}); backoff {backoff} ms"),
-                        );
-                        if let Some(lp) = self.pods.get_mut(key) {
-                            lp.state = PodState::Waiting {
-                                reason: "CrashLoopBackOff".into(),
-                                until: Some(now + backoff),
-                            };
-                            lp.restart_count = restarts;
-                        }
-                        if let Some(Object::Pod(pod)) = api.get(Kind::Pod, &ns, &name).as_deref() {
-                            let mut pod = pod.clone();
-                            pod.status.ready = false;
-                            pod.status.restart_count = restarts;
-                            pod.status.reason = "CrashLoopBackOff".into();
-                            let _ = api.update(self.channel, Object::Pod(pod));
-                        }
-                    }
-                }
-            }
-            PodState::Waiting { until: Some(until), .. } if now >= until => {
-                let (lo, hi) = self.cfg.container_start_ms;
-                let boot = now + self.rng.range(lo, hi);
+            PodState::Running if local.crash_at.is_none() => {
+                // Misconfigured probe: the healthy container toggles
+                // Ready on the (too-short) probe-window cadence.
+                let ready = local.probe_ready(now);
+                self.metrics.probe_flaps = self.metrics.probe_flaps.saturating_add(1);
                 if let Some(lp) = self.pods.get_mut(key) {
-                    lp.state = PodState::Starting { until: boot };
+                    lp.reported_ready = ready;
+                }
+                if let Some(Object::Pod(pod)) = api.get(Kind::Pod, &ns, &name).as_deref() {
+                    let mut pod = pod.clone();
+                    pod.status.ready = ready;
+                    pod.status.reason = if ready { String::new() } else { "Unhealthy".into() };
+                    let _ = api.update(self.channel, Object::Pod(pod));
                 }
             }
-            _ => {}
+            PodState::Running => {
+                // Crash: back off exponentially (circuit breaker).
+                self.metrics.crashes = self.metrics.crashes.saturating_add(1);
+                mutiny_telemetry::counter_add("kubelet.pod_restarts", 1);
+                let restarts = local.restart_count + 1;
+                let backoff = (self.cfg.crash_backoff_base_ms
+                    << (restarts - 1).clamp(0, 16) as u32)
+                    .min(self.cfg.crash_backoff_max_ms);
+                self.log(
+                    now,
+                    TraceLevel::Warn,
+                    format!("pod {key} crashed (restart {restarts}); backoff {backoff} ms"),
+                );
+                if let Some(lp) = self.pods.get_mut(key) {
+                    lp.state = PodState::Waiting {
+                        reason: "CrashLoopBackOff".into(),
+                        until: Some(now + backoff),
+                    };
+                    lp.restart_count = restarts;
+                }
+                if let Some(Object::Pod(pod)) = api.get(Kind::Pod, &ns, &name).as_deref() {
+                    let mut pod = pod.clone();
+                    pod.status.ready = false;
+                    pod.status.restart_count = restarts;
+                    pod.status.reason = "CrashLoopBackOff".into();
+                    let _ = api.update(self.channel, Object::Pod(pod));
+                }
+            }
+            PodState::Rejected => {}
         }
     }
 
@@ -893,6 +910,137 @@ mod tests {
         assert_eq!(kl.metrics.probe_flaps, 0, "sane probe flapped");
         let pod = api.get(Kind::Pod, "default", "p2").unwrap();
         assert!(pod.as_pod().unwrap().status.ready);
+    }
+
+    /// The ticks (200 ms apart, up to `to`) at which `probe` changed.
+    fn ticks_where_changed(
+        kl: &mut Kubelet,
+        api: &mut ApiServer,
+        to: u64,
+        probe: impl Fn(&Kubelet) -> u64,
+    ) -> Vec<u64> {
+        let mut ticks = Vec::new();
+        let mut t = 200;
+        while t <= to {
+            let before = probe(kl);
+            kl.step(api, t);
+            if probe(kl) != before {
+                ticks.push(t);
+            }
+            t += 200;
+        }
+        ticks
+    }
+
+    #[test]
+    fn idle_steps_between_heartbeats_write_nothing() {
+        let mut api = api();
+        let mut kl = kubelet(&api);
+        kl.step(&mut api, 0);
+        for name in ["p1", "p2", "p3"] {
+            api.create(Channel::UserToApi, bound_pod(name, "registry.local/web:1.0", &["serve"]))
+                .unwrap();
+        }
+        // Past start-up and past the 10 s heartbeat + status resync.
+        run_until(&mut kl, &mut api, 200, 10_200);
+        for name in ["p1", "p2", "p3"] {
+            assert!(api.get(Kind::Pod, "default", name).unwrap().as_pod().unwrap().status.ready);
+        }
+        let (requests, revision) = (api.audit().records().len(), api.etcd().revision());
+        let metrics = kl.metrics;
+        // 1 000 steps inside the quiet window before the next heartbeat.
+        for t in 10_201..11_201 {
+            kl.step(&mut api, t);
+        }
+        assert_eq!(api.audit().records().len(), requests, "an idle step sent a request");
+        assert_eq!(api.etcd().revision(), revision);
+        assert_eq!(kl.metrics, metrics);
+    }
+
+    #[test]
+    fn pods_due_on_the_same_tick_advance_in_key_order() {
+        // Both pods finish pulling on the same tick (fixed pull time) and
+        // were admitted in reverse key order; their boot latencies must
+        // be drawn, and their status writes sent, in key order.
+        // A registered kubelet with a fixed pull time, and the two pods
+        // created in reverse key order.
+        let world = |container_start_ms| {
+            let mut api = tests::api();
+            let cfg = KubeletConfig {
+                image_pull_ms: (400, 400),
+                container_start_ms,
+                ..KubeletConfig::default()
+            };
+            let trace = Rc::new(RefCell::new(Trace::new(256)));
+            let mut kl = Kubelet::new("w1", 1, 8000, 4096, cfg, &api, trace, Rng::new(7));
+            kl.step(&mut api, 0);
+            for name in ["pb", "pa"] {
+                let pod = bound_pod(name, "registry.local/web:1.0", &["serve"]);
+                api.create(Channel::UserToApi, pod).unwrap();
+            }
+            (api, kl)
+        };
+        let start_time = |api: &mut ApiServer, name: &str| {
+            api.get(Kind::Pod, "default", name).unwrap().as_pod().unwrap().status.start_time
+        };
+
+        // Random boot latency: each pod starts when *its* draw says.
+        let (mut api, mut kl) = world((800, 2_500));
+        run_until(&mut kl, &mut api, 200, 4_000);
+        let mut rng = Rng::new(7);
+        rng.range(400, 400); // `pb`'s pull, drawn at admission
+        rng.range(400, 400); // `pa`'s
+        // Admitted at 200, pulled at 600: `pa` draws first, then `pb`;
+        // a container is reported up on the first tick past its boot.
+        let up = |boot: u64| (600 + boot).div_ceil(200) * 200;
+        let (boot_a, boot_b) = (rng.range(800, 2_500), rng.range(800, 2_500));
+        assert_ne!(up(boot_a), up(boot_b), "pick a seed whose draws tell the order apart");
+        assert_eq!(start_time(&mut api, "pa"), up(boot_a) as i64);
+        assert_eq!(start_time(&mut api, "pb"), up(boot_b) as i64);
+
+        // Fixed boot latency: both report Running on the same tick, `pa`
+        // before `pb`.
+        let (mut api, mut kl) = world((800, 800));
+        for t in (200..=4_000).step_by(200) {
+            api.set_now(t); // the audit log stamps the apiserver's clock
+            kl.step(&mut api, t);
+        }
+        let running: Vec<(u64, &str)> = api
+            .audit()
+            .records()
+            .iter()
+            .filter(|r| r.channel == kl.channel && r.kind == Kind::Pod)
+            .map(|r| (r.at, &*r.key))
+            .collect();
+        assert_eq!(
+            running,
+            [(1_400, "/registry/pods/default/pa"), (1_400, "/registry/pods/default/pb")]
+        );
+    }
+
+    #[test]
+    fn crashloop_and_probe_flaps_keep_their_ticks() {
+        // The due-pod filter must not move any transition: these tick
+        // numbers were read off the every-pod-every-tick loop it replaced.
+        let mut api = api();
+        let mut kl = kubelet(&api);
+        kl.step(&mut api, 0);
+        api.create(Channel::UserToApi, bound_pod("p1", "registry.local/web:1.0", &["serwe"]))
+            .unwrap();
+        let crashes = ticks_where_changed(&mut kl, &mut api, 30_000, |k| k.metrics.crashes);
+        assert_eq!(crashes, [3_800, 7_800, 12_400, 18_800, 29_400]);
+
+        let mut api = tests::api();
+        let mut kl = kubelet(&api);
+        kl.step(&mut api, 0);
+        let mut pod = bound_pod("p1", "registry.local/web:1.0", &["serve"]);
+        if let Object::Pod(p) = &mut pod {
+            p.spec.probe_period_seconds = 1;
+            p.spec.probe_failure_threshold = 1;
+        }
+        api.create(Channel::UserToApi, pod).unwrap();
+        let flaps = ticks_where_changed(&mut kl, &mut api, 12_000, |k| k.metrics.probe_flaps);
+        assert_eq!(flaps, [3_200, 4_200, 5_200, 6_200, 7_200, 8_200, 9_200, 10_200, 11_200]);
     }
 
     #[test]

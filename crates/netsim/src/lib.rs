@@ -20,9 +20,10 @@
 
 use k8s_apiserver::ApiServer;
 use k8s_model::validate::{is_cidr, is_ipv4};
-use k8s_model::{Kind, Object, Pod};
+use k8s_model::{Kind, Node, Object, Pod};
 use simkit::Rng;
 use std::collections::{HashMap, HashSet};
+use std::rc::Rc;
 
 /// The outcome of one client request.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -104,10 +105,14 @@ struct ProxyEntry {
 pub struct NetSim {
     cfg: NetConfig,
     /// Destination nodes reachable from each node (programmed routes).
-    routes: HashMap<String, HashSet<String>>,
+    /// One refresh round programs one shared set into every node with a
+    /// live agent; a node whose agent is down keeps the `Rc` of the last
+    /// round that reached it (stale routes).
+    routes: HashMap<String, Rc<HashSet<String>>>,
     agent_up: HashMap<String, bool>,
-    /// Per-node VIP tables: `ns/name` → entry.
-    proxy: HashMap<String, HashMap<String, ProxyEntry>>,
+    /// Per-node VIP tables: `ns/name` → entry, shared per refresh round
+    /// like `routes`.
+    proxy: HashMap<String, Rc<HashMap<String, ProxyEntry>>>,
     proxy_up: HashMap<String, bool>,
     dns_up: bool,
     rr: HashMap<String, usize>,
@@ -186,11 +191,11 @@ impl NetSim {
     /// kube-proxy / network-agent sync round).
     pub fn refresh(&mut self, api: &mut ApiServer) {
         self.roll_window(api.now());
-        let nodes: Vec<(String, String)> = api
-            .list(Kind::Node, None)
+        let node_objs = api.list(Kind::Node, None);
+        let nodes: Vec<&Node> = node_objs
             .iter()
             .filter_map(|o| match &**o {
-                Object::Node(n) => Some((n.metadata.name.clone(), n.spec.pod_cidr.clone())),
+                Object::Node(n) => Some(n),
                 _ => None,
             })
             .collect();
@@ -225,21 +230,26 @@ impl NetSim {
         }
 
         // Route programming: an up agent installs routes to every node
-        // announcing a valid pod CIDR. A down agent leaves routes stale.
-        for (name, _) in &nodes {
-            let up = agents.contains(name.as_str());
-            self.agent_up.insert(name.clone(), up);
+        // announcing a valid pod CIDR — one set per round, shared by every
+        // node it reaches. A down agent leaves routes stale: its slot keeps
+        // the previous round's `Rc` and is never aliased to the new one.
+        let dests: Rc<HashSet<String>> = Rc::new(
+            nodes
+                .iter()
+                .filter(|n| is_cidr(&n.spec.pod_cidr))
+                .map(|n| n.metadata.name.clone())
+                .collect(),
+        );
+        for node in &nodes {
+            let name = node.metadata.name.as_str();
+            let up = agents.contains(name);
+            set_slot(&mut self.agent_up, name, up);
             if up {
-                let dests: HashSet<String> = nodes
-                    .iter()
-                    .filter(|(_, cidr)| is_cidr(cidr))
-                    .map(|(n, _)| n.clone())
-                    .collect();
-                self.routes.insert(name.clone(), dests);
+                set_slot(&mut self.routes, name, Rc::clone(&dests));
             }
         }
 
-        // VIP tables per node with a live kube-proxy.
+        // VIP tables per node with a live kube-proxy, shared the same way.
         let mut table: HashMap<String, ProxyEntry> = HashMap::new();
         for obj in api.list(Kind::Service, None) {
             let Object::Service(svc) = &*obj else { continue };
@@ -258,11 +268,13 @@ impl NetSim {
             }
             table.insert(key, entry);
         }
-        for (name, _) in &nodes {
-            let up = proxies.contains(name.as_str());
-            self.proxy_up.insert(name.clone(), up);
+        let table = Rc::new(table);
+        for node in &nodes {
+            let name = node.metadata.name.as_str();
+            let up = proxies.contains(name);
+            set_slot(&mut self.proxy_up, name, up);
             if up {
-                self.proxy.insert(name.clone(), table.clone());
+                set_slot(&mut self.proxy, name, Rc::clone(&table));
             }
         }
 
@@ -436,6 +448,17 @@ impl NetSim {
     }
 }
 
+/// Overwrites `map[key]` in place; the key is cloned only the first time
+/// a node is seen.
+fn set_slot<V>(map: &mut HashMap<String, V>, key: &str, value: V) {
+    match map.get_mut(key) {
+        Some(slot) => *slot = value,
+        None => {
+            map.insert(key.to_owned(), value);
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -454,27 +477,38 @@ mod tests {
         ApiServer::new(Etcd::new(1, 8 << 20), interceptor, trace)
     }
 
+    /// A serving `role` (`net-agent` / `kube-proxy`) pod on `node`.
+    fn daemon_pod(role: &str, node: &str) -> Object {
+        let mut p = Pod::default();
+        p.metadata = ObjectMeta::named("kube-system", &format!("{role}-{node}"));
+        p.metadata.labels.insert("app".into(), role.into());
+        p.spec.node_name = node.to_string();
+        p.spec.containers.push(Container {
+            name: "c".into(),
+            image: "registry.local/sys:1".into(),
+            ..Default::default()
+        });
+        p.status.phase = "Running".into();
+        p.status.ready = true;
+        Object::Pod(p)
+    }
+
+    /// Registers node `name` (pod CIDR `10.244.<index>.0/24`) with a live
+    /// network agent and kube-proxy.
+    fn join_node(api: &mut ApiServer, index: usize, name: &str) {
+        let mut n = k8s_model::Node::worker(name, 8000, 4096);
+        n.spec.pod_cidr = format!("10.244.{index}.0/24");
+        api.create(Channel::KubeletToApi, Object::Node(n)).unwrap();
+        for role in ["net-agent", "kube-proxy"] {
+            api.create(Channel::ApiToEtcd, daemon_pod(role, name)).unwrap();
+        }
+    }
+
     /// Builds a two-node cluster with one serving app pod, agents and
     /// proxies on both nodes, and a service+endpoints for the app.
     fn build_world(api: &mut ApiServer) {
         for (i, name) in ["w1", "w2"].iter().enumerate() {
-            let mut n = k8s_model::Node::worker(name, 8000, 4096);
-            n.spec.pod_cidr = format!("10.244.{i}.0/24");
-            api.create(Channel::KubeletToApi, Object::Node(n)).unwrap();
-            for (role, label) in [("net-agent", "net-agent"), ("kube-proxy", "kube-proxy")] {
-                let mut p = Pod::default();
-                p.metadata = ObjectMeta::named("kube-system", &format!("{role}-{name}"));
-                p.metadata.labels.insert("app".into(), label.into());
-                p.spec.node_name = name.to_string();
-                p.spec.containers.push(Container {
-                    name: "c".into(),
-                    image: "registry.local/sys:1".into(),
-                    ..Default::default()
-                });
-                p.status.phase = "Running".into();
-                p.status.ready = true;
-                api.create(Channel::ApiToEtcd, Object::Pod(p)).unwrap();
-            }
+            join_node(api, i, name);
         }
         // The app pod on w2.
         let mut p = Pod::default();
@@ -587,6 +621,52 @@ mod tests {
         let out = fresh.request(&mut api, 1000, "w1", "default", "web-svc", 80, false);
         assert_eq!(out, RequestOutcome::Timeout);
         assert_eq!(fresh.agents_down(), 1);
+    }
+
+    #[test]
+    fn down_agent_and_proxy_keep_stale_tables_until_they_return() {
+        // One refresh round shares one route set and one VIP table among
+        // the nodes it reaches; a node whose agent (proxy) is down must
+        // keep what it had, not be aliased to the new round's tables.
+        let mut api = api();
+        build_world(&mut api);
+        let mut n = net();
+        n.refresh(&mut api);
+        assert!(Rc::ptr_eq(&n.routes["w1"], &n.routes["w2"]), "one set per round");
+        assert!(Rc::ptr_eq(&n.proxy["w1"], &n.proxy["w2"]), "one table per round");
+
+        // w1 loses its agent and its proxy; then w3 joins and a second
+        // service appears.
+        for role in ["net-agent", "kube-proxy"] {
+            api.delete(Channel::ApiToEtcd, Kind::Pod, "kube-system", &format!("{role}-w1"))
+                .unwrap();
+        }
+        join_node(&mut api, 2, "w3");
+        let mut svc = Service::default();
+        svc.metadata = ObjectMeta::named("default", "late-svc");
+        svc.spec.cluster_ip = "10.96.0.21".into();
+        svc.spec.port = 80;
+        api.create(Channel::UserToApi, Object::Service(svc)).unwrap();
+        n.refresh(&mut api);
+        assert_eq!(n.agents_down(), 1);
+        assert!(!n.routes["w1"].contains("w3"), "w1's routes are stale: w3 is unknown to it");
+        assert!(n.routes["w2"].contains("w3") && n.routes["w3"].contains("w1"));
+        assert!(!n.proxy["w1"].contains_key("default/late-svc"), "w1's VIP table is stale");
+        assert!(n.proxy["w2"].contains_key("default/late-svc"));
+
+        // A fork shares the tables but never sees the original's later
+        // rounds (tables are replaced, not mutated).
+        let fork = n.clone();
+
+        // The agent and proxy return: the next round reaches w1 again.
+        for role in ["net-agent", "kube-proxy"] {
+            api.create(Channel::ApiToEtcd, daemon_pod(role, "w1")).unwrap();
+        }
+        n.refresh(&mut api);
+        assert_eq!(n.agents_down(), 0);
+        assert!(n.routes["w1"].contains("w3"), "w1 learns w3 once its agent is back");
+        assert!(n.proxy["w1"].contains_key("default/late-svc"));
+        assert!(!fork.routes["w1"].contains("w3"), "the fork keeps the state it was forked at");
     }
 
     #[test]

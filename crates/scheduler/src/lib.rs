@@ -259,11 +259,11 @@ impl Scheduler {
             match self.pick_node(pod, &nodes, &usage) {
                 Some(node_name) => {
                     let mut bound = pod.clone();
-                    bound.spec.node_name = node_name.clone();
+                    bound.spec.node_name = node_name.to_owned();
                     match api.update(Channel::SchedulerToApi, Object::Pod(bound)) {
                         Ok(_) => {
-                            usage.add(&node_name, pod.cpu_request(), pod.memory_request());
-                            self.assumed.insert(key.clone(), node_name);
+                            usage.add(node_name, pod.cpu_request(), pod.memory_request());
+                            self.assumed.insert(key.clone(), node_name.to_owned());
                             self.metrics.scheduled = self.metrics.scheduled.saturating_add(1);
                         }
                         Err(e) => {
@@ -302,7 +302,7 @@ impl Scheduler {
         }
     }
 
-    fn pick_node(&self, pod: &Pod, nodes: &[&Node], usage: &Usage) -> Option<String> {
+    fn pick_node<'a>(&self, pod: &Pod, nodes: &[&'a Node], usage: &Usage) -> Option<&'a str> {
         let mut best: Option<(i64, &str)> = None;
         for node in nodes {
             if !feasible(pod, node, usage) {
@@ -316,10 +316,11 @@ impl Scheduler {
                 _ => best = Some(candidate),
             }
         }
-        best.map(|(_, n)| n.to_owned())
+        best.map(|(_, n)| n)
     }
 
     fn try_preempt(&mut self, api: &mut ApiServer, pod: &Pod, nodes: &[&Node], all_pods: &[&Pod]) {
+        let usage = Usage::from_pods(all_pods);
         for node in nodes {
             if node.spec.unschedulable || !node.status.ready {
                 continue;
@@ -335,7 +336,6 @@ impl Scheduler {
                 })
                 .collect();
             victims.sort_by_key(|p| p.spec.priority);
-            let usage = Usage::from_pods(all_pods);
             let (cpu_used, mem_used) = usage.of(&node.metadata.name);
             let cpu_free = node.status.cpu_milli - cpu_used;
             let mem_free = node.status.memory_mb - mem_used;
@@ -383,15 +383,15 @@ impl Scheduler {
     }
 }
 
-/// Per-node resource bookkeeping.
+/// Per-node `(cpu, memory)` bookkeeping, keyed by node names borrowed
+/// from the listed pods and nodes.
 #[derive(Debug, Default)]
-struct Usage {
-    cpu: HashMap<String, i64>,
-    mem: HashMap<String, i64>,
+struct Usage<'a> {
+    per_node: HashMap<&'a str, (i64, i64)>,
 }
 
-impl Usage {
-    fn from_pods(pods: &[&Pod]) -> Usage {
+impl<'a> Usage<'a> {
+    fn from_pods(pods: &[&'a Pod]) -> Usage<'a> {
         let mut u = Usage::default();
         for p in pods {
             if !p.spec.node_name.is_empty()
@@ -405,13 +405,14 @@ impl Usage {
         u
     }
 
-    fn add(&mut self, node: &str, cpu: i64, mem: i64) {
-        *self.cpu.entry(node.to_owned()).or_default() += cpu;
-        *self.mem.entry(node.to_owned()).or_default() += mem;
+    fn add(&mut self, node: &'a str, cpu: i64, mem: i64) {
+        let used = self.per_node.entry(node).or_default();
+        used.0 += cpu;
+        used.1 += mem;
     }
 
     fn of(&self, node: &str) -> (i64, i64) {
-        (self.cpu.get(node).copied().unwrap_or(0), self.mem.get(node).copied().unwrap_or(0))
+        self.per_node.get(node).copied().unwrap_or_default()
     }
 }
 

@@ -1,7 +1,12 @@
 #!/usr/bin/env bash
 # Tier-1 verification plus a cheap smoke campaign.
 #
-# 1. Build + test exactly what the ROADMAP calls tier-1.
+# 1. Build + test exactly what the ROADMAP calls tier-1, then every
+#    crate's own unit and integration tests (`cargo test --workspace`:
+#    tier-1 compiles the root package only) and the ruler: the
+#    `benchmark/` package's tests and its `--smoke` run, which exits
+#    non-zero unless every workload's result line says `"correct":true`
+#    (rows digest unchanged, no failed experiment, no failed check).
 # 2. Run the campaign-throughput bench on a 2% plan over the full
 #    scenario registry × the full fault registry (the paper's wire
 #    triplet plus delay, duplicate, partition, crash-restart) so perf
@@ -62,6 +67,15 @@ cargo clippy --release --workspace --all-targets -- -D warnings
 
 echo "== tier-1: cargo test -q =="
 cargo test -q
+
+echo "== crate tests: cargo test --workspace --offline -q =="
+cargo test --workspace --offline -q
+
+echo "== the ruler: benchmark tests + --smoke =="
+cargo test --offline -q --manifest-path benchmark/Cargo.toml
+# Exits non-zero (and `set -e` stops here) unless all four workloads
+# printed `"correct":true`.
+cargo run --release --offline --quiet --manifest-path benchmark/Cargo.toml -- --smoke
 
 # The TSV/baseline caches under target/ trust that the simulation code
 # has not changed since they were written (they are keyed by env, not by
